@@ -101,7 +101,8 @@ let create parent ?(name = "kcm") ?clk ?(adder_structure = `Chain)
           ~name:(Printf.sprintf "t%d_%d" index j)
           inputs (Wire.bit pp j) ~f
       in
-      Cell.set_rloc lut ~row:(j / 2) ~col:(index + 1)
+      (* odd columns: the adder of stage [s] sits in column [2s] *)
+      Cell.set_rloc lut ~row:(j / 2) ~col:((2 * index) + 1)
     done;
     (lo, pp)
   in

@@ -1,12 +1,12 @@
 (* Bit-parallel batch kernel: 63 testbench lanes per machine word.
 
-   Same compilation scheme as [Simulator] — dense net renumbering, CSR
-   fan-out, per-level dirty buckets drained in ascending level order —
-   but the per-net state is a pair of bit-plane words instead of one
-   code byte: bit [l] of plane 0 / plane 1 holds bit 0 / bit 1 of lane
-   [l]'s 2-bit code (Zero=00, One=01(+0), X=10, Z=11 in plane order
-   (p1,p0)). A node evaluation is then a handful of word-wise bitwise
-   operations covering every lane at once:
+   Built on the same [Compiled] form as [Simulator] — dense net
+   numbering, CSR fan-out, per-level dirty buckets drained in ascending
+   level order — but the per-net state is a pair of bit-plane words
+   instead of one code byte: bit [l] of plane 0 / plane 1 holds bit 0 /
+   bit 1 of lane [l]'s 2-bit code (Zero=00, One=01(+0), X=10, Z=11 in
+   plane order (p1,p0)). A node evaluation is then a handful of
+   word-wise bitwise operations covering every lane at once:
 
    - INV/BUF/MULT_AND/XORCY are direct boolean-algebra translations of
      the scalar code tables;
@@ -32,7 +32,6 @@
    scratch and the product tree live on the sim record, and local
    accumulators are unboxed refs. *)
 
-open Jhdl_circuit.Types
 module Bit = Jhdl_logic.Bit
 module Bits = Jhdl_logic.Bits
 module Lut_init = Jhdl_logic.Lut_init
@@ -40,9 +39,8 @@ module Prim = Jhdl_circuit.Prim
 module Wire = Jhdl_circuit.Wire
 module Cell = Jhdl_circuit.Cell
 module Design = Jhdl_circuit.Design
-module Levelize = Jhdl_circuit.Levelize
 
-exception Combinational_cycle of string list
+exception Combinational_cycle = Compiled.Combinational_cycle
 
 let max_lanes = 63
 
@@ -207,27 +205,15 @@ type snode =
   | S_srl of srl_node
   | S_ram of ram_node
 
-(* precompiled input-port target: dense index per bit, or the error a
-   forced write must raise (output direction, driven net) *)
-type force_target = {
-  ft_idx : int array;
-  ft_reject : string option;
-}
-
 type t = {
-  sim_design : Design.t;
-  net_idx : (int, int) Hashtbl.t; (* net_id -> dense index *)
+  cx : Compiled.t;
   st : store;
   sc : scratch;
   n_lanes : int;
   eval : (unit -> unit) array; (* compiled per-node evaluators, by rank *)
-  level_lo : int array; (* first rank of each level *)
-  depth : int;
   seq_all : snode array;
   seq_clocked : snode array;
   seq_by_path : (string, snode) Hashtbl.t;
-  in_targets : (string, force_target) Hashtbl.t;
-  out_ports : (string * int array) list; (* declaration order *)
   mutable cycles : int;
   mutable words_hist : Jhdl_metrics.Metrics.histogram option;
 }
@@ -254,17 +240,17 @@ let propagate_full b =
 (* drain dirty levels in ascending order: combinational edges strictly
    increase level, so one sweep reaches the all-lane fixpoint *)
 let propagate b =
-  let st = b.st in
+  let st = b.st and level_lo = b.cx.Compiled.level_lo in
   if st.pending_total > 0 then begin
     let before = st.stat_evals in
-    for lv = 0 to b.depth do
+    for lv = 0 to Array.length level_lo - 1 do
       let cnt = st.level_pending.(lv) in
       if cnt > 0 then begin
         st.level_pending.(lv) <- 0;
         st.pending_total <- st.pending_total - cnt;
         st.stat_evals <- st.stat_evals + cnt;
         let left = ref cnt in
-        let r = ref b.level_lo.(lv) in
+        let r = ref level_lo.(lv) in
         while !left > 0 do
           if Bytes.unsafe_get st.dirty !r <> '\000' then begin
             Bytes.unsafe_set st.dirty !r '\000';
@@ -389,39 +375,7 @@ let commit_snode st = function
     if !changed then mark st m.ram_rank
 
 (* ------------------------------------------------------------------ *)
-(* Compilation (mirrors [Simulator.create]).                           *)
-
-type proto = Levelize.source = {
-  inst : cell;
-  prim : Prim.t;
-  in_ports : (string * net array) list;
-  out_ports : (string * net array) list;
-}
-
-let make_proto inst =
-  match Levelize.source_of inst with
-  | None -> assert false
-  | Some s -> s
-
-let levelize nodes =
-  let kahn, kahn_levels, max_level =
-    try Levelize.levelize nodes
-    with Levelize.Cycle cells ->
-      raise (Combinational_cycle (List.map Cell.path cells))
-  in
-  let tagged = Array.mapi (fun i node -> (kahn_levels.(i), i, node)) kahn in
-  Array.sort
-    (fun (l1, i1, _) (l2, i2, _) ->
-       if l1 <> l2 then Int.compare l1 l2 else Int.compare i1 i2)
-    tagged;
-  let order = Array.map (fun (_, _, n) -> n) tagged in
-  let level_of = Array.map (fun (l, _, _) -> l) tagged in
-  (order, level_of, max_level)
-
-let port_idx ports name =
-  match List.assoc_opt name ports with
-  | Some arr -> arr
-  | None -> invalid_arg (Printf.sprintf "Simulator.Batch: no port %s" name)
+(* Compilation: the plane store and word-wise closures over [Compiled]. *)
 
 (* plane words of a broadcast 2-bit code *)
 let bcast0 mask c = if c land 1 = 1 then mask else 0
@@ -444,121 +398,36 @@ let create ?clock ~lanes design =
               (Cell.path inst) model_name)
        | _ -> ())
     (Design.all_prims design);
-  (match
-     List.filter
-       (function Design.Combinational_loop _ -> false | _ -> true)
-       (Design.errors design)
-   with
-   | [] -> ()
-   | violation :: _ ->
-     invalid_arg
-       (Format.asprintf "Simulator.Batch.create: design-rule error: %a"
-          Design.pp_violation violation));
-  let clock_nets =
-    match clock with
-    | None -> None
-    | Some w ->
-      if Wire.width w <> 1 then
-        invalid_arg "Simulator.Batch.create: clock wire must be 1 bit wide";
-      let table = Hashtbl.create 4 in
-      Array.iter (fun n -> Hashtbl.replace table n.net_id ()) (Wire.nets w);
-      Some table
-  in
+  let cx, order = Compiled.compile ~kernel:"Simulator.Batch" ~clock design in
   let mask = if lanes = max_lanes then -1 else (1 lsl lanes) - 1 in
-  let protos = List.map make_proto (Design.all_prims design) in
-  let order, level_of, depth = levelize protos in
   let n_ranks = Array.length order in
-  let net_idx = Hashtbl.create 1024 in
-  let n_nets = ref 0 in
-  let index_net n =
-    if not (Hashtbl.mem net_idx n.net_id) then begin
-      Hashtbl.add net_idx n.net_id !n_nets;
-      incr n_nets
-    end
-  in
-  List.iter index_net (Design.all_nets design);
-  Array.iter
-    (fun p ->
-       List.iter (fun (_, nets) -> Array.iter index_net nets) p.in_ports;
-       List.iter (fun (_, nets) -> Array.iter index_net nets) p.out_ports)
-    order;
-  let n_nets = !n_nets in
-  let row = Array.make (n_nets + 1) 0 in
-  let iter_comb_nets p f =
-    List.iter
-      (fun port ->
-         match List.assoc_opt port p.in_ports with
-         | None -> ()
-         | Some nets ->
-           Array.iter (fun n -> f (Hashtbl.find net_idx n.net_id)) nets)
-      (Levelize.comb_inputs p)
-  in
-  Array.iter
-    (fun p -> iter_comb_nets p (fun idx -> row.(idx + 1) <- row.(idx + 1) + 1))
-    order;
-  for i = 1 to n_nets do
-    row.(i) <- row.(i) + row.(i - 1)
-  done;
-  let col = Array.make row.(n_nets) 0 in
-  let cursor = Array.sub row 0 n_nets in
-  Array.iteri
-    (fun rank p ->
-       iter_comb_nets p (fun idx ->
-         col.(cursor.(idx)) <- rank;
-         cursor.(idx) <- cursor.(idx) + 1))
-    order;
-  let level_lo = Array.make (depth + 1) n_ranks in
-  for r = n_ranks - 1 downto 0 do
-    level_lo.(level_of.(r)) <- r
-  done;
   let st =
-    { p0 = Array.make n_nets 0;
-      p1 = Array.make n_nets mask (* everything starts X in every lane *);
+    { p0 = Array.make cx.Compiled.n_nets 0;
+      (* everything starts X in every lane *)
+      p1 = Array.make cx.Compiled.n_nets mask;
       mask;
-      row;
-      col;
-      level_of;
+      row = cx.Compiled.row;
+      col = cx.Compiled.col;
+      level_of = cx.Compiled.level_of;
       dirty = Bytes.make n_ranks '\000';
-      level_pending = Array.make (depth + 1) 0;
+      level_pending = Array.make (cx.Compiled.depth + 1) 0;
       pending_total = 0;
       stat_evals = 0;
       stat_changes = 0 }
   in
   let sc = { m0 = 0; m1 = 0; prod = Array.make 64 0 } in
-  let in_domain p =
-    match clock_nets with
-    | None -> true
-    | Some table ->
-      (match Prim.clock_port p.prim with
-       | None -> true
-       | Some port ->
-         (match List.assoc_opt port p.in_ports with
-          | None -> false
-          | Some nets ->
-            Array.exists (fun n -> Hashtbl.mem table n.net_id) nets))
-  in
   let eval = Array.make n_ranks (fun () -> ()) in
   let seq_all = ref [] and seq_clocked = ref [] in
   let seq_by_path = Hashtbl.create 64 in
   Array.iteri
-    (fun rank p ->
+    (fun rank (p : Compiled.node) ->
        let add_seq sn clocked =
          seq_all := sn :: !seq_all;
          Hashtbl.replace seq_by_path (Cell.path p.inst) sn;
          if clocked then seq_clocked := sn :: !seq_clocked
        in
-       let ins =
-         List.map
-           (fun (name, nets) ->
-              (name, Array.map (fun n -> Hashtbl.find net_idx n.net_id) nets))
-           p.in_ports
-       and outs =
-         List.map
-           (fun (name, nets) ->
-              (name, Array.map (fun n -> Hashtbl.find net_idx n.net_id) nets))
-           p.out_ports
-       in
-       let p1 ports name = (port_idx ports name).(0) in
+       let ins, outs = Compiled.ports cx p in
+       let p1 = Compiled.pin cx in
        match p.prim with
        | Prim.Lut init ->
          let k = Lut_init.inputs init in
@@ -604,7 +473,7 @@ let create ?clock ~lanes design =
                   f.ff_cur0 f.ff_cur1 0 0;
                 write st q sc.m0 sc.m1
             else fun () -> write st q f.ff_cur0 f.ff_cur1);
-         add_seq (S_ff f) (in_domain p)
+         add_seq (S_ff f) (Compiled.in_domain cx p)
        | Prim.Muxcy ->
          let s = p1 ins "S" and di = p1 ins "DI" and ci = p1 ins "CI" in
          let o = p1 outs "O" in
@@ -657,7 +526,7 @@ let create ?clock ~lanes design =
          let q = p1 outs "Q" in
          let c0 = s.srl_c0 and c1 = s.srl_c1 in
          eval.(rank) <- mem_read_eval sc st a c0 c1 q;
-         add_seq (S_srl s) (in_domain p)
+         add_seq (S_srl s) (Compiled.in_domain cx p)
        | Prim.Ram16x1 { init } ->
          let m =
            { ram_rank = rank;
@@ -672,7 +541,7 @@ let create ?clock ~lanes design =
          in
          let o = p1 outs "O" in
          eval.(rank) <- mem_read_eval sc st m.ram_a m.ram_c0 m.ram_c1 o;
-         add_seq (S_ram m) (in_domain p)
+         add_seq (S_ram m) (Compiled.in_domain cx p)
        | Prim.Buf ->
          let i = p1 ins "I" and o = p1 outs "O" in
          eval.(rank) <-
@@ -693,57 +562,15 @@ let create ?clock ~lanes design =
          eval.(rank) <- (fun () -> write st v mask 0)
        | Prim.Black_box _ -> assert false (* rejected above *))
     order;
-  let in_targets = Hashtbl.create 16 in
-  List.iter
-    (fun port ->
-       let name = port.Design.port_name in
-       let nets = Wire.nets port.Design.port_wire in
-       let reject = ref None in
-       let idx =
-         Array.mapi
-           (fun i n ->
-              (match n.driver with
-               | Some term when !reject = None ->
-                 reject :=
-                   Some
-                     (Printf.sprintf
-                        "Simulator.Batch.set_input: net %s[%d] is driven by %s"
-                        (Wire.name port.Design.port_wire) i
-                        (Cell.path term.term_cell))
-               | _ -> ());
-              match Hashtbl.find_opt net_idx n.net_id with
-              | Some idx -> idx
-              | None -> -1)
-           nets
-       in
-       Hashtbl.replace in_targets name { ft_idx = idx; ft_reject = !reject })
-    (Design.inputs design);
-  let out_ports =
-    List.map
-      (fun port ->
-         ( port.Design.port_name,
-           Array.map
-             (fun n ->
-                match Hashtbl.find_opt net_idx n.net_id with
-                | Some idx -> idx
-                | None -> -1)
-             (Wire.nets port.Design.port_wire) ))
-      (Design.outputs design)
-  in
   let b =
-    { sim_design = design;
-      net_idx;
+    { cx;
       st;
       sc;
       n_lanes = lanes;
       eval;
-      level_lo;
-      depth;
       seq_all = Array.of_list (List.rev !seq_all);
       seq_clocked = Array.of_list (List.rev !seq_clocked);
       seq_by_path;
-      in_targets;
-      out_ports;
       cycles = 0;
       words_hist = None }
   in
@@ -753,7 +580,7 @@ let create ?clock ~lanes design =
 (* ------------------------------------------------------------------ *)
 (* Public API.                                                         *)
 
-let design b = b.sim_design
+let design b = b.cx.Compiled.design
 let lanes b = b.n_lanes
 
 let check_lane b lane =
@@ -774,20 +601,20 @@ let write_lane st idx lane c0 c1 =
 
 let set_input b ~lane port bits =
   check_lane b lane;
-  match Hashtbl.find_opt b.in_targets port with
+  match Hashtbl.find_opt b.cx.Compiled.inputs port with
   | None ->
-    (match Design.find_port b.sim_design port with
+    (match Design.find_port (design b) port with
      | Some _ ->
        invalid_arg
          (Printf.sprintf "Simulator.Batch.set_input: %s is an output" port)
      | None ->
        invalid_arg
          (Printf.sprintf "Simulator.Batch.set_input: no port %s" port))
-  | Some ft ->
-    (match ft.ft_reject with
+  | Some target ->
+    (match target.Compiled.in_driven with
      | Some msg -> invalid_arg msg
      | None -> ());
-    let w = Array.length ft.ft_idx in
+    let w = Array.length target.Compiled.in_idx in
     if Bits.width bits <> w then
       invalid_arg
         (Printf.sprintf "Simulator.Batch.set_input: %d bits for %d-bit port %s"
@@ -797,7 +624,7 @@ let set_input b ~lane port bits =
       (* fast path: one packed-plane conversion, then per-net lane writes *)
       let v0, v1 = Bits.to_planes bits in
       for i = 0 to w - 1 do
-        let idx = Array.unsafe_get ft.ft_idx i in
+        let idx = Array.unsafe_get target.Compiled.in_idx i in
         if idx >= 0 then
           write_lane st idx lane
             (0 - ((v0 lsr i) land 1))
@@ -806,7 +633,7 @@ let set_input b ~lane port bits =
     end
     else
       for i = 0 to w - 1 do
-        let idx = Array.unsafe_get ft.ft_idx i in
+        let idx = Array.unsafe_get target.Compiled.in_idx i in
         if idx >= 0 then begin
           let c = Bit.to_code (Bits.get bits i) in
           write_lane st idx lane (0 - (c land 1)) (0 - ((c lsr 1) land 1))
@@ -822,9 +649,8 @@ let lane_code st idx lane =
 
 let read_nets b ~lane nets =
   Bits.init (Array.length nets) (fun i ->
-    match Hashtbl.find_opt b.net_idx nets.(i).net_id with
-    | None -> Bit.X
-    | Some idx -> Bit.of_code (lane_code b.st idx lane))
+    let idx = Compiled.dense b.cx nets.(i) in
+    if idx < 0 then Bit.X else Bit.of_code (lane_code b.st idx lane))
 
 let get b ~lane w =
   check_lane b lane;
@@ -834,7 +660,7 @@ let get b ~lane w =
 let get_port b ~lane port =
   check_lane b lane;
   propagate b;
-  match Design.find_port b.sim_design port with
+  match Design.find_port (design b) port with
   | None ->
     invalid_arg (Printf.sprintf "Simulator.Batch.get_port: no port %s" port)
   | Some p -> read_nets b ~lane (Wire.nets p.Design.port_wire)
@@ -848,7 +674,7 @@ let read_outputs b ~lane =
          Bits.init (Array.length idx) (fun i ->
            let ix = Array.unsafe_get idx i in
            if ix < 0 then Bit.X else Bit.of_code (lane_code b.st ix lane)) ))
-    b.out_ports
+    b.cx.Compiled.outputs
 
 let cycle ?(n = 1) b =
   propagate b (* settle deferred input forces before the edge *);
@@ -889,7 +715,7 @@ let reset b =
 
 let cycle_count b = b.cycles
 let prim_count b = Array.length b.eval
-let levels b = b.depth
+let levels b = b.cx.Compiled.depth
 let eval_count b = b.st.stat_evals
 let event_count b = b.st.stat_changes
 
@@ -912,17 +738,12 @@ let register_metrics b registry =
 let snapshot_lane b ~lane =
   check_lane b lane;
   propagate b;
-  let nets_list = Design.all_nets b.sim_design in
-  let image_nets = Bytes.create (List.length nets_list) in
-  List.iteri
-    (fun i n ->
-       let c =
-         match Hashtbl.find_opt b.net_idx n.net_id with
-         | Some idx -> lane_code b.st idx lane
-         | None -> 2
-       in
-       Bytes.set image_nets i (Char.chr c))
-    nets_list;
+  let cx = b.cx in
+  (* dense indices 0 .. design_nets-1 are [Design.all_nets] in order *)
+  let image_nets =
+    Bytes.init cx.Compiled.design_nets (fun i ->
+      Char.chr (lane_code b.st i lane))
+  in
   let lane_mem c0 c1 =
     Bytes.init 16 (fun i ->
       Char.chr
@@ -944,10 +765,10 @@ let snapshot_lane b ~lane =
            Some (path, Snapshot.Mem (lane_mem s.srl_c0 s.srl_c1))
          | Some (S_ram m) ->
            Some (path, Snapshot.Mem (lane_mem m.ram_c0 m.ram_c1)))
-      (Design.all_prims b.sim_design)
+      (Design.all_prims cx.Compiled.design)
   in
   Snapshot.encode
-    { Snapshot.image_signature = Snapshot.signature b.sim_design;
+    { Snapshot.image_signature = Lazy.force cx.Compiled.signature;
       image_cycles = b.cycles;
       image_nets;
       image_seq;
@@ -955,32 +776,17 @@ let snapshot_lane b ~lane =
 
 let restore_lane b ~lane blob =
   check_lane b lane;
-  let img = Snapshot.decode blob in
-  let expect = Snapshot.signature b.sim_design in
-  if img.Snapshot.image_signature <> expect then
-    raise
-      (Snapshot.Error
-         (Printf.sprintf
-            "snapshot: design signature mismatch (blob %08x, design %s is %08x)"
-            img.Snapshot.image_signature
-            (Design.name b.sim_design)
-            expect));
-  let nets_list = Design.all_nets b.sim_design in
-  if Bytes.length img.Snapshot.image_nets <> List.length nets_list then
-    raise (Snapshot.Error "snapshot: net count mismatch");
+  let img = Compiled.decode b.cx blob in
   let bit = 1 lsl lane in
   let put_plane arr i c_bit =
     arr.(i) <- (if c_bit = 1 then arr.(i) lor bit else arr.(i) land lnot bit)
   in
-  List.iteri
-    (fun i n ->
-       match Hashtbl.find_opt b.net_idx n.net_id with
-       | None -> ()
-       | Some idx ->
-         let c = Char.code (Bytes.get img.Snapshot.image_nets i) in
-         put_plane b.st.p0 idx (c land 1);
-         put_plane b.st.p1 idx ((c lsr 1) land 1))
-    nets_list;
+  Bytes.iteri
+    (fun i ch ->
+       let c = Char.code ch in
+       put_plane b.st.p0 i (c land 1);
+       put_plane b.st.p1 i ((c lsr 1) land 1))
+    img.Snapshot.image_nets;
   List.iter
     (fun (path, state) ->
        match (Hashtbl.find_opt b.seq_by_path path, state) with

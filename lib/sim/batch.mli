@@ -1,11 +1,11 @@
 (** Bit-parallel batch simulation: up to 63 independent testbenches per
     machine word.
 
-    A batch simulator compiles a design exactly like {!Simulator} —
-    dense net numbering, CSR fan-out, level-bucketed dirty worklist —
-    but stores each net's 4-valued code across [lanes] independent
-    testbench lanes in two bit-plane words: bit [l] of the first
-    (resp. second) plane holds bit 0 (resp. bit 1) of the lane's
+    A batch simulator builds on the same {!Compiled} netlist form as
+    {!Simulator} — dense net numbering, CSR fan-out, level-bucketed
+    dirty worklist — but stores each net's 4-valued code across [lanes]
+    independent testbench lanes in two bit-plane words: bit [l] of the
+    first (resp. second) plane holds bit 0 (resp. bit 1) of the lane's
     {!Jhdl_logic.Bit.to_code}, so Zero=(0,0), One=(1,0), X=(0,1),
     Z=(1,1). One settle pass then evaluates every lane at once:
     LUT1–LUT4 become word-wise possibility-set table lookups over the
@@ -26,6 +26,11 @@
     scalar-only features and are not supported here. *)
 
 type t
+
+exception
+  Combinational_cycle of string list
+      (** the same exception as {!Simulator.Combinational_cycle}: both
+          kernels raise {!Compiled.Combinational_cycle} *)
 
 (** Hard lane capacity: 63 lanes per OCaml [int] plane word. *)
 val max_lanes : int

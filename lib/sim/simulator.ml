@@ -1,16 +1,15 @@
 (* Compiled cycle simulator.
 
    Instead of interpreting the netlist each cycle (hashtable net store,
-   string port lookups, closure lists — see [Reference]), [create] lowers
-   the levelized design into flat int-indexed structures once:
+   string port lookups, closure lists — see [Reference]), [create] builds
+   on the shared [Compiled] form — dense net numbering, CSR fan-out to
+   consumer ranks, level buckets — and adds the scalar value store:
 
-   - nets are renumbered to a dense [0..n-1] range and their 4-value
-     state lives in one [Bytes.t] of 2-bit codes ([Bit.to_code]);
+   - each net's 4-value state lives in one [Bytes.t] of 2-bit codes
+     ([Bit.to_code]);
    - each node's input/output nets become int arrays captured by a
      per-node evaluation closure compiled at [create], so the cycle loop
      never touches association lists or formats port names;
-   - net fan-out is a CSR int-array pair ([row]/[col]) mapping a net to
-     the ranks of its combinational consumers;
    - the dirty worklist is a per-rank byte flag plus a per-level pending
      count, drained in ascending level order (combinational edges
      strictly increase level, so one sweep settles the cone);
@@ -30,9 +29,8 @@ module Prim = Jhdl_circuit.Prim
 module Wire = Jhdl_circuit.Wire
 module Cell = Jhdl_circuit.Cell
 module Design = Jhdl_circuit.Design
-module Levelize = Jhdl_circuit.Levelize
 
-exception Combinational_cycle of string list
+exception Combinational_cycle = Compiled.Combinational_cycle
 
 (* ------------------------------------------------------------------ *)
 (* 2-bit code arithmetic (Zero=0 One=1 X=2 Z=3; defined iff < 2).      *)
@@ -186,12 +184,9 @@ type watch_entry = {
 }
 
 type t = {
-  sim_design : Design.t;
-  net_idx : (int, int) Hashtbl.t; (* net_id -> dense index *)
+  cx : Compiled.t;
   st : store;
   eval : (unit -> unit) array; (* compiled per-node evaluators, by rank *)
-  level_lo : int array; (* first rank of each level *)
-  depth : int;
   seq_all : snode array; (* every sequential node, for [reset] *)
   seq_clocked : snode array; (* the selected clock domain *)
   seq_by_path : (string, snode) Hashtbl.t; (* checkpoint state keys *)
@@ -199,44 +194,6 @@ type t = {
   mutable watches : watch_entry list; (* reverse watch order *)
   mutable cycle_hooks : (int -> unit) list; (* registration order *)
 }
-
-(* ------------------------------------------------------------------ *)
-(* Construction-time netlist view (never touched after [create]).
-   The node shape and the walk are the shared [Levelize] ones, so the
-   simulator, the reference interpreter, the validator and the timing
-   estimator all agree on combinational edges and cycle membership.     *)
-
-type proto = Levelize.source = {
-  inst : cell;
-  prim : Prim.t;
-  in_ports : (string * net array) list;
-  out_ports : (string * net array) list;
-}
-
-let make_proto inst =
-  match Levelize.source_of inst with
-  | None -> assert false
-  | Some s -> s
-
-let node_comb_inputs = Levelize.comb_inputs
-
-(* Shared Kahn levelization, then a stable sort by level so each level
-   occupies a contiguous rank range — what the level-bucketed worklist
-   drains. *)
-let levelize nodes =
-  let kahn, kahn_levels, max_level =
-    try Levelize.levelize nodes
-    with Levelize.Cycle cells ->
-      raise (Combinational_cycle (List.map Cell.path cells))
-  in
-  let tagged = Array.mapi (fun i node -> (kahn_levels.(i), i, node)) kahn in
-  Array.sort
-    (fun (l1, i1, _) (l2, i2, _) ->
-       if l1 <> l2 then Int.compare l1 l2 else Int.compare i1 i2)
-    tagged;
-  let order = Array.map (fun (_, _, n) -> n) tagged in
-  let level_of = Array.map (fun (l, _, _) -> l) tagged in
-  order, level_of, max_level
 
 (* ------------------------------------------------------------------ *)
 (* Settle.                                                             *)
@@ -258,16 +215,16 @@ let propagate_full sim =
    increase level), so one sweep reaches the fixpoint and each dirty
    node is evaluated exactly once. *)
 let propagate sim =
-  let st = sim.st in
+  let st = sim.st and level_lo = sim.cx.Compiled.level_lo in
   if st.pending_total > 0 then
-    for lv = 0 to sim.depth do
+    for lv = 0 to Array.length level_lo - 1 do
       let cnt = st.level_pending.(lv) in
       if cnt > 0 then begin
         st.level_pending.(lv) <- 0;
         st.pending_total <- st.pending_total - cnt;
         st.stat_evals <- st.stat_evals + cnt;
         let left = ref cnt in
-        let r = ref sim.level_lo.(lv) in
+        let r = ref level_lo.(lv) in
         while !left > 0 do
           if Bytes.unsafe_get st.dirty !r <> '\000' then begin
             Bytes.unsafe_set st.dirty !r '\000';
@@ -375,127 +332,32 @@ let commit_snode st = function
 (* ------------------------------------------------------------------ *)
 (* Compilation.                                                        *)
 
-let port_idx ports name =
-  match List.assoc_opt name ports with
-  | Some arr -> arr
-  | None -> invalid_arg (Printf.sprintf "Simulator: no port %s" name)
-
 let create ?clock design =
-  (* Combinational loops are excluded from the design-rule pre-check so
-     levelization reports them through the canonical [Combinational_cycle]
-     exception, carrying the same cell list as [Design.validate]. *)
-  (match
-     List.filter
-       (function Design.Combinational_loop _ -> false | _ -> true)
-       (Design.errors design)
-   with
-   | [] -> ()
-   | violation :: _ ->
-     invalid_arg
-       (Format.asprintf "Simulator.create: design-rule error: %a"
-          Design.pp_violation violation));
-  let clock_nets =
-    match clock with
-    | None -> None
-    | Some w ->
-      if Wire.width w <> 1 then
-        invalid_arg "Simulator.create: clock wire must be 1 bit wide";
-      let table = Hashtbl.create 4 in
-      Array.iter (fun n -> Hashtbl.replace table n.net_id ()) (Wire.nets w);
-      Some table
-  in
-  let protos = List.map make_proto (Design.all_prims design) in
-  let order, level_of, depth = levelize protos in
+  let cx, order = Compiled.compile ~kernel:"Simulator" ~clock design in
   let n_ranks = Array.length order in
-  (* dense net numbering: design nets first (creation order), then any
-     node-port net not reachable from a declared wire *)
-  let net_idx = Hashtbl.create 1024 in
-  let n_nets = ref 0 in
-  let index_net n =
-    if not (Hashtbl.mem net_idx n.net_id) then begin
-      Hashtbl.add net_idx n.net_id !n_nets;
-      incr n_nets
-    end
-  in
-  List.iter index_net (Design.all_nets design);
-  Array.iter
-    (fun p ->
-       List.iter (fun (_, nets) -> Array.iter index_net nets) p.in_ports;
-       List.iter (fun (_, nets) -> Array.iter index_net nets) p.out_ports)
-    order;
-  let n_nets = !n_nets in
-  (* consumer fan-out as CSR: count, prefix-sum, fill *)
-  let row = Array.make (n_nets + 1) 0 in
-  let iter_comb_nets p f =
-    List.iter
-      (fun port ->
-         match List.assoc_opt port p.in_ports with
-         | None -> ()
-         | Some nets ->
-           Array.iter (fun n -> f (Hashtbl.find net_idx n.net_id)) nets)
-      (node_comb_inputs p)
-  in
-  Array.iter (fun p -> iter_comb_nets p (fun idx -> row.(idx + 1) <- row.(idx + 1) + 1)) order;
-  for i = 1 to n_nets do
-    row.(i) <- row.(i) + row.(i - 1)
-  done;
-  let col = Array.make row.(n_nets) 0 in
-  let cursor = Array.sub row 0 n_nets in
-  Array.iteri
-    (fun rank p ->
-       iter_comb_nets p (fun idx ->
-         col.(cursor.(idx)) <- rank;
-         cursor.(idx) <- cursor.(idx) + 1))
-    order;
-  let level_lo = Array.make (depth + 1) n_ranks in
-  for r = n_ranks - 1 downto 0 do
-    level_lo.(level_of.(r)) <- r
-  done;
   let st =
-    { vals = Bytes.make n_nets '\002' (* everything starts X *);
-      row;
-      col;
-      level_of;
+    { vals = Bytes.make cx.Compiled.n_nets '\002' (* everything starts X *);
+      row = cx.Compiled.row;
+      col = cx.Compiled.col;
+      level_of = cx.Compiled.level_of;
       dirty = Bytes.make n_ranks '\000';
-      level_pending = Array.make (depth + 1) 0;
+      level_pending = Array.make (cx.Compiled.depth + 1) 0;
       pending_total = 0;
       stat_evals = 0;
       stat_changes = 0 }
-  in
-  let in_domain p =
-    match clock_nets with
-    | None -> true
-    | Some table ->
-      (match Prim.clock_port p.prim with
-       | None -> true (* black boxes follow the global cycle *)
-       | Some port ->
-         (match List.assoc_opt port p.in_ports with
-          | None -> false
-          | Some nets ->
-            Array.exists (fun n -> Hashtbl.mem table n.net_id) nets))
   in
   let eval = Array.make n_ranks (fun () -> ()) in
   let seq_all = ref [] and seq_clocked = ref [] in
   let seq_by_path = Hashtbl.create 64 in
   Array.iteri
-    (fun rank p ->
+    (fun rank (p : Compiled.node) ->
        let add_seq sn clocked =
          seq_all := sn :: !seq_all;
          Hashtbl.replace seq_by_path (Cell.path p.inst) sn;
          if clocked then seq_clocked := sn :: !seq_clocked
        in
-       let ins =
-         List.map
-           (fun (name, nets) ->
-              (name, Array.map (fun n -> Hashtbl.find net_idx n.net_id) nets))
-           p.in_ports
-       and outs =
-         List.map
-           (fun (name, nets) ->
-              (name, Array.map (fun n -> Hashtbl.find net_idx n.net_id) nets))
-           p.out_ports
-       in
-       let p1 ports name = (port_idx ports name).(0) in
+       let ins, outs = Compiled.ports cx p in
+       let p1 = Compiled.pin cx in
        match p.prim with
        | Prim.Lut init ->
          let k = Lut_init.inputs init in
@@ -523,7 +385,7 @@ let create ?clock design =
               let clr = f.ff_clr in
               fun () -> write st q (mux_code (code st clr) f.ff_cur 0)
             else fun () -> write st q f.ff_cur);
-         add_seq (S_ff f) (in_domain p)
+         add_seq (S_ff f) (Compiled.in_domain cx p)
        | Prim.Muxcy ->
          let s = p1 ins "S" and di = p1 ins "DI" and ci = p1 ins "CI" in
          let o = p1 outs "O" in
@@ -555,7 +417,7 @@ let create ?clock design =
            (fun () ->
               let acc = gather st a 3 0 in
               write st q (mem_code cells (acc land 0xffff) (acc lsr 16)));
-         add_seq (S_srl s) (in_domain p)
+         add_seq (S_srl s) (Compiled.in_domain cx p)
        | Prim.Ram16x1 { init } ->
          let init_b = Bytes.init 16 (fun i -> Char.chr ((init lsr i) land 1)) in
          let m =
@@ -574,7 +436,7 @@ let create ?clock design =
            (fun () ->
               let acc = gather st a 3 0 in
               write st o (mem_code cells (acc land 0xffff) (acc lsr 16)));
-         add_seq (S_ram m) (in_domain p)
+         add_seq (S_ram m) (Compiled.in_domain cx p)
        | Prim.Buf ->
          let i = p1 ins "I" and o = p1 outs "O" in
          eval.(rank) <- (fun () -> write st o (code st i))
@@ -593,7 +455,7 @@ let create ?clock design =
            let arr =
              match List.assoc_opt port ins with
              | Some a -> a
-             | None -> port_idx outs port
+             | None -> Compiled.port cx outs port
            in
            Bits.init (Array.length arr) (fun i -> Bit.of_code (code st arr.(i)))
          in
@@ -603,7 +465,7 @@ let create ?clock design =
               let written = behavior.Prim.comb ~read in
               List.iter
                 (fun (port, bits) ->
-                   let nets = port_idx outs port in
+                   let nets = Compiled.port cx outs port in
                    if Array.length nets <> Bits.width bits then
                      invalid_arg
                        (Printf.sprintf
@@ -615,15 +477,12 @@ let create ?clock design =
                 written);
          add_seq
            (S_bb { bb_rank = rank; bb_behavior = behavior; bb_read = read })
-           (in_domain p && Option.is_some behavior.Prim.clock_edge))
+           (Compiled.in_domain cx p && Option.is_some behavior.Prim.clock_edge))
     order;
   let sim =
-    { sim_design = design;
-      net_idx;
+    { cx;
       st;
       eval;
-      level_lo;
-      depth;
       seq_all = Array.of_list (List.rev !seq_all);
       seq_clocked = Array.of_list (List.rev !seq_clocked);
       seq_by_path;
@@ -637,18 +496,17 @@ let create ?clock design =
 (* ------------------------------------------------------------------ *)
 (* Public API.                                                         *)
 
-let design sim = sim.sim_design
+let design sim = sim.cx.Compiled.design
 
 let read_nets sim nets =
   Bits.init (Array.length nets) (fun i ->
-    match Hashtbl.find_opt sim.net_idx nets.(i).net_id with
-    | None -> Bit.X
-    | Some idx -> Bit.of_code (code sim.st idx))
+    let idx = Compiled.dense sim.cx nets.(i) in
+    if idx < 0 then Bit.X else Bit.of_code (code sim.st idx))
 
 let get sim w = read_nets sim (Wire.nets w)
 
 let get_port sim port =
-  match Design.find_port sim.sim_design port with
+  match Design.find_port (design sim) port with
   | None -> invalid_arg (Printf.sprintf "Simulator.get_port: no port %s" port)
   | Some p -> get sim p.Design.port_wire
 
@@ -667,9 +525,8 @@ let force_wire sim w bits =
             (Printf.sprintf "Simulator.set_input_wire: net %s[%d] is driven by %s"
                (Wire.name w) i (Cell.path term.term_cell))
         | None -> ());
-       match Hashtbl.find_opt sim.net_idx n.net_id with
-       | Some idx -> write sim.st idx (Bit.to_code (Bits.get bits i))
-       | None -> ())
+       let idx = Compiled.dense sim.cx n in
+       if idx >= 0 then write sim.st idx (Bit.to_code (Bits.get bits i)))
     (Wire.nets w)
 
 let set_input_wire sim w bits =
@@ -677,7 +534,7 @@ let set_input_wire sim w bits =
   propagate sim
 
 let force_port sim port bits =
-  match Design.find_port sim.sim_design port with
+  match Design.find_port (design sim) port with
   | None -> invalid_arg (Printf.sprintf "Simulator.set_input: no port %s" port)
   | Some p ->
     (match p.Design.port_dir with
@@ -759,14 +616,7 @@ let cycle_count sim = sim.cycles
 
 let watch sim ?label w =
   let watch_label = Option.value label ~default:(Wire.full_name w) in
-  let watch_idx =
-    Array.map
-      (fun n ->
-         match Hashtbl.find_opt sim.net_idx n.net_id with
-         | None -> -1
-         | Some idx -> idx)
-      (Wire.nets w)
-  in
+  let watch_idx = Array.map (Compiled.dense sim.cx) (Wire.nets w) in
   let entry = { watch_label; watch_idx; samples = [ (sim.cycles, get sim w) ] } in
   sim.watches <- entry :: sim.watches
 
@@ -775,7 +625,7 @@ let history sim =
 
 let on_cycle sim f = sim.cycle_hooks <- sim.cycle_hooks @ [ f ]
 let prim_count sim = Array.length sim.eval
-let levels sim = sim.depth
+let levels sim = sim.cx.Compiled.depth
 let eval_count sim = sim.st.stat_evals
 let event_count sim = sim.st.stat_changes
 
@@ -790,7 +640,7 @@ let register_metrics sim registry =
   M.probe registry "settle_evals_total" (fun () -> sim.st.stat_evals);
   M.probe registry "net_events_total" (fun () -> sim.st.stat_changes);
   M.probe registry "prims" (fun () -> Array.length sim.eval);
-  M.probe registry "levels" (fun () -> sim.depth);
+  M.probe registry "levels" (fun () -> levels sim);
   if not (M.is_nil registry) then begin
     let per_cycle = M.histogram registry "settle_evals_per_cycle" in
     let last = ref sim.st.stat_evals in
@@ -806,18 +656,8 @@ let register_metrics sim registry =
    processes as long as the design signature matches.                   *)
 
 let snapshot sim =
-  Snapshot.check_design sim.sim_design;
-  let nets_list = Design.all_nets sim.sim_design in
-  let image_nets = Bytes.create (List.length nets_list) in
-  List.iteri
-    (fun i n ->
-       let c =
-         match Hashtbl.find_opt sim.net_idx n.net_id with
-         | Some idx -> code sim.st idx
-         | None -> 2
-       in
-       Bytes.set image_nets i (Char.chr c))
-    nets_list;
+  let cx = sim.cx in
+  Snapshot.check_design cx.Compiled.design;
   let image_seq =
     List.filter_map
       (fun inst ->
@@ -827,34 +667,20 @@ let snapshot sim =
          | Some (S_ff f) -> Some (path, Snapshot.Flop f.ff_cur)
          | Some (S_srl s) -> Some (path, Snapshot.Mem (Bytes.copy s.srl_cells))
          | Some (S_ram m) -> Some (path, Snapshot.Mem (Bytes.copy m.ram_cells)))
-      (Design.all_prims sim.sim_design)
+      (Design.all_prims cx.Compiled.design)
   in
+  (* dense indices 0 .. design_nets-1 are [Design.all_nets] in order *)
   Snapshot.encode
-    { Snapshot.image_signature = Snapshot.signature sim.sim_design;
+    { Snapshot.image_signature = Lazy.force cx.Compiled.signature;
       image_cycles = sim.cycles;
-      image_nets;
+      image_nets = Bytes.sub sim.st.vals 0 cx.Compiled.design_nets;
       image_seq;
       image_watches = history sim }
 
 let restore sim blob =
-  let img = Snapshot.decode blob in
-  let expect = Snapshot.signature sim.sim_design in
-  if img.Snapshot.image_signature <> expect then
-    raise
-      (Snapshot.Error
-         (Printf.sprintf
-            "snapshot: design signature mismatch (blob %08x, design %s is %08x)"
-            img.Snapshot.image_signature (Design.name sim.sim_design) expect));
-  let nets_list = Design.all_nets sim.sim_design in
-  if Bytes.length img.Snapshot.image_nets <> List.length nets_list then
-    raise (Snapshot.Error "snapshot: net count mismatch");
-  List.iteri
-    (fun i n ->
-       match Hashtbl.find_opt sim.net_idx n.net_id with
-       | None -> ()
-       | Some idx ->
-         Bytes.set sim.st.vals idx (Bytes.get img.Snapshot.image_nets i))
-    nets_list;
+  let img = Compiled.decode sim.cx blob in
+  Bytes.blit img.Snapshot.image_nets 0 sim.st.vals 0
+    sim.cx.Compiled.design_nets;
   List.iter
     (fun (path, state) ->
        match Hashtbl.find_opt sim.seq_by_path path, state with

@@ -31,7 +31,8 @@ type t
 
 exception
   Combinational_cycle of string list
-      (** instance paths forming the cycle *)
+      (** instance paths forming the cycle; {!Batch.create} raises this
+          same exception *)
 
 (** [create ?clock design] elaborates and levelizes [design].
 

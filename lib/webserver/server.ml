@@ -43,6 +43,8 @@ type server_metrics = {
   sm_download : Download.metrics; (* jar-level counters, same registry *)
 }
 
+let access_log_cap = 1024
+
 type t = {
   vendor : string;
   cache_cap : int;
@@ -54,7 +56,7 @@ type t = {
   (* the content-addressed delivery cache: elaborated designs, lint
      verdicts, exported netlists and jar bundles *)
   delivery : Ip_module.built Delivery.t;
-  mutable log : string list; (* newest first *)
+  log : string Queue.t; (* the newest [access_log_cap] lines, oldest first *)
   breaker : Breaker.t option; (* guards the jar download path *)
   sm : server_metrics;
 }
@@ -89,7 +91,7 @@ let create ~vendor ?cache_cap ?(delivery_cap = 256)
   in
   let server =
     { vendor; cache_cap; entries = []; accounts = Hashtbl.create 8;
-      component_versions; delivery; log = []; breaker; sm }
+      component_versions; delivery; log = Queue.create (); breaker; sm }
   in
   Metrics.probe metrics "catalog_entries" (fun () ->
       List.length server.entries);
@@ -204,25 +206,35 @@ let parse_params ip fields =
 (* server-side elaboration of a parameterized request: the built module
    and its EDIF export are both content-addressed by the generator
    invocation, so repeat requests at the same parameter point skip
-   elaboration and export entirely *)
+   elaboration and export entirely. A generator that rejects the point
+   (the schema cannot state every coupled constraint) comes back as an
+   [Error], never as an exception, and caches nothing. *)
 let elaborate_cached server ~now entry assignment =
+  let ip = entry.ip in
   let descriptor =
-    Delivery.generator_descriptor ~generator:entry.ip.Ip_module.ip_name
+    Delivery.generator_descriptor ~generator:ip.Ip_module.ip_name
       ~params:
         (List.map
            (fun (k, v) -> (k, Ip_module.param_to_string v))
            assignment)
   in
-  let built =
-    Store.find_or_add server.delivery.Delivery.designs ~now ~descriptor
-      ~bytes:(fun b -> String.length (Snapshot.descriptor b.Ip_module.design))
-      (fun () -> entry.ip.Ip_module.build assignment)
-  in
-  let netlist =
-    Delivery.netlist_keyed server.delivery ~now ~kind:"edif" ~descriptor
-      (fun () -> Edif.of_design built.Ip_module.design)
-  in
-  (built, netlist)
+  match
+    let built =
+      Store.find_or_add server.delivery.Delivery.designs ~now ~descriptor
+        ~bytes:(fun b -> String.length (Snapshot.descriptor b.Ip_module.design))
+        (fun () -> ip.Ip_module.build assignment)
+    in
+    ( built,
+      Delivery.netlist_keyed server.delivery ~now ~kind:"edif" ~descriptor
+        (fun () -> Edif.of_design built.Ip_module.design) )
+  with
+  | elaborated -> Ok elaborated
+  | exception e ->
+    Error
+      (Catalog.elaboration_error_to_string
+         { Catalog.failed_ip = ip.Ip_module.ip_name;
+           exception_name = Printexc.exn_slot_name e;
+           detail = Printexc.to_string e })
 
 let request_inner server ?(stale_ok = false) ?(now = 0.) ?params ~user
     ~ip_name ~link ?faults ?policy () =
@@ -248,7 +260,8 @@ let request_inner server ?(stale_ok = false) ?(now = 0.) ?params ~user
               Error
                 (Printf.sprintf "bad parameters for %s: %s" ip_name message)
             | Ok assignment ->
-              Ok (Some (elaborate_cached server ~now entry assignment)))
+              Result.map Option.some
+                (elaborate_cached server ~now entry assignment))
        in
        match elaborated_result with
        | Error message -> Error message
@@ -349,12 +362,15 @@ let request_inner server ?(stale_ok = false) ?(now = 0.) ?params ~user
          Log.info (fun m ->
            m "GET /applets/%s for %s (%s)" ip_name user
              (License.tier_name account.tier));
-         server.log <-
-           Printf.sprintf "%s GET /applets/%s v%d (%s license, %d jar(s), %.1f s)"
-             user ip_name entry.version
-             (License.tier_name account.tier)
-             (List.length fetched) download_seconds
-           :: server.log;
+         Queue.push
+           (Printf.sprintf
+              "%s GET /applets/%s v%d (%s license, %d jar(s), %.1f s)"
+              user ip_name entry.version
+              (License.tier_name account.tier)
+              (List.length fetched) download_seconds)
+           server.log;
+         if Queue.length server.log > access_log_cap then
+           ignore (Queue.pop server.log : string);
          Ok
            { applet; version = entry.version; jars; fetched; failed;
              unavailable; evicted = !evicted; elaborated; fetch_attempts;
@@ -416,13 +432,17 @@ let serve_with server ?adm_ticket ?params ~now ~user ~ip_name ~link ?faults
       (Printf.sprintf "downloads suspended (circuit %s open)"
          (Breaker.name b))
   | _ ->
+    (* the ticket closes on every exit, an escaping exception included *)
     let result =
-      request_inner server ~stale_ok ~now ?params ~user ~ip_name ~link ?faults
-        ?policy ()
+      Fun.protect
+        ~finally:(fun () ->
+          match adm_ticket with
+          | Some (adm, tk) -> Admission.complete adm ~now tk
+          | None -> ())
+        (fun () ->
+          request_inner server ~stale_ok ~now ?params ~user ~ip_name ~link
+            ?faults ?policy ())
     in
-    (match adm_ticket with
-     | Some (adm, tk) -> Admission.complete adm ~now tk
-     | None -> ());
     (match result with
      | Ok session ->
        (match server.breaker with
@@ -475,7 +495,7 @@ let serve_admitted server ~admission ~ticket ~now ~ip_name ~link ?faults
     serve_with server ~adm_ticket:(admission, ticket) ~now ~user ~ip_name
       ~link ?faults ?policy ()
 
-let access_log server = List.rev server.log
+let access_log server = List.of_seq (Queue.to_seq server.log)
 
 let server_secret server = "vendor-secret/" ^ server.vendor
 
@@ -544,7 +564,7 @@ let state_digest server =
     accounts;
   Buffer.add_string buf
     (Printf.sprintf "evictions %d\n" (cache_evictions server));
-  List.iter
+  Queue.iter
     (fun line -> Buffer.add_string buf ("log " ^ line ^ "\n"))
-    (List.rev server.log);
+    server.log;
   Buffer.contents buf

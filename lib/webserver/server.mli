@@ -127,7 +127,13 @@ val request :
   unit ->
   (session, string) result
 
-(** [access_log server] — one line per request, oldest first. *)
+(** The access log's bound: it keeps the newest [access_log_cap]
+    (1024) lines, so a long-running server's log stays a constant
+    size. *)
+val access_log_cap : int
+
+(** [access_log server] — one line per served request, oldest first:
+    the newest {!access_log_cap} of them. *)
 val access_log : t -> string list
 
 (** {1 Overload-aware request path}

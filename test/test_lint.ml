@@ -47,6 +47,24 @@ let comb_design ~widths build =
   List.iter (fun (name, dir, w) -> Design.add_port d name dir w) wires;
   d
 
+(* Unpipelined KCMs are fully placed, so the placement rules see every
+   partial-product table next to the adder stages. The first point used
+   to report seven L401 overlaps: table 1 shared adder 1's column. *)
+let unpipelined_kcm (width, product_width, signed, constant) =
+  let params =
+    Ip_module.
+      [ ("multiplicand_width", Int_value width);
+        ("product_width", Int_value product_width);
+        ("signed", Bool_value signed);
+        ("pipelined", Bool_value false);
+        ("constant", Int_value constant) ]
+  in
+  match Ip_module.validate Catalog.kcm params with
+  | Error message -> Alcotest.fail message
+  | Ok assignment ->
+    ( Printf.sprintf "unpipelined KCM %d-bit x %d" width constant,
+      (Catalog.kcm.Ip_module.build assignment).Ip_module.design )
+
 let generator_designs () =
   let i = Types.Input and o = Types.Output in
   List.map
@@ -54,6 +72,9 @@ let generator_designs () =
        ( ip.Ip_module.ip_name,
          (ip.Ip_module.build (Ip_module.defaults ip)).Ip_module.design ))
     Catalog.all
+  @ List.map unpipelined_kcm
+      [ (6, 10, true, -3751); (8, 12, true, 7); (12, 20, false, 3751);
+        (16, 32, true, -32768) ]
   @ [ ( "carry_chain_adder",
         comb_design
           ~widths:[ ("a", 8, i); ("b", 8, i); ("sum", 8, o) ]
@@ -458,6 +479,13 @@ let test_cycle_detectors_agree () =
       None
     with Simulator.Combinational_cycle cells -> Some cells
   in
+  (* the batch kernel raises the scalar kernel's exception *)
+  let from_batch =
+    try
+      ignore (Simulator.Batch.create ~lanes:4 d);
+      None
+    with Simulator.Combinational_cycle cells -> Some cells
+  in
   let from_estimate =
     try
       ignore (Estimate.timing_of_design d);
@@ -470,9 +498,10 @@ let test_cycle_detectors_agree () =
       (fun diag -> diag.Lint.cells)
       (List.find_opt (fun x -> x.Lint.rule_id = "L005") report.Lint.diagnostics)
   in
-  match from_validate, from_sim, from_estimate, from_lint with
-  | Some v, Some s, Some e, Some l ->
+  match from_validate, from_sim, from_batch, from_estimate, from_lint with
+  | Some v, Some s, Some b, Some e, Some l ->
     Alcotest.(check (list string)) "simulator agrees" v s;
+    Alcotest.(check (list string)) "batch simulator agrees" v b;
     Alcotest.(check (list string)) "estimator agrees" v e;
     Alcotest.(check (list string)) "lint agrees" v l
   | _ -> Alcotest.fail "every detector must report the loop"

@@ -372,6 +372,50 @@ let test_failure_paths_counted () =
   Alcotest.(check int) "the shed counted as a failure too" 4
     (counter_value registry "request_failures_total")
 
+(* A parameter point inside the KCM schema that the generator rejects
+   (negative constant, unsigned mode). Sixteen of them used to raise out
+   of [user_request], leak sixteen started tickets, and wedge every later
+   request behind [Queue_full]. *)
+let test_generator_failure_closes_ticket () =
+  let registry, server = fresh_counted_server () in
+  Server.register_user server ~user:"vera" ~tier:License.Vendor;
+  let admission = Admission.create () in
+  let bad = [ ("constant", "-3"); ("signed", "false") ] in
+  let link = Download.dsl_1m in
+  for i = 1 to 16 do
+    match
+      Server.user_request server ~admission ~params:bad ~now:(float_of_int i)
+        ~user:"alice" ~ip_name:"VirtexKCMMultiplier" ~link ()
+    with
+    | Ok _ -> Alcotest.fail "an unbuildable point must be refused"
+    | Error r ->
+      Alcotest.(check bool) "not an overload shed" true
+        (r.Server.rej_shed = None);
+      Alcotest.(check bool) "names the elaboration failure" true
+        (String.starts_with ~prefix:"failed to elaborate VirtexKCMMultiplier"
+           r.Server.rej_reason)
+  done;
+  Alcotest.(check int) "every refusal counted" 16
+    (counter_value registry "request_failures_total");
+  Alcotest.(check int) "no ticket left in flight" 0
+    (Admission.stats admission).Admission.inflight;
+  Alcotest.(check bool) "accounting closes" true
+    (Admission.accounting_closes admission);
+  (match
+     Server.user_request server ~admission ~now:17.0 ~user:"vera"
+       ~ip_name:"VirtexKCMMultiplier" ~link ()
+   with
+   | Ok _ -> ()
+   | Error r -> Alcotest.failf "good request refused: %s" r.Server.rej_reason);
+  Alcotest.(check int) "the good request closed its ticket" 0
+    (Admission.stats admission).Admission.inflight;
+  match
+    Server.request server ~params:bad ~user:"alice"
+      ~ip_name:"VirtexKCMMultiplier" ~link ()
+  with
+  | Ok _ -> Alcotest.fail "request ~params must refuse the point too"
+  | Error _ -> ()
+
 let test_server_breaker_trips_and_recovers () =
   let registry = Metrics.create "t" in
   let breaker = Breaker.create ~metrics:registry ~name:"download" ~seed:9 () in
@@ -545,6 +589,8 @@ let suite =
       test_reap_before_quota;
     Alcotest.test_case "every request refusal is counted" `Quick
       test_failure_paths_counted;
+    Alcotest.test_case "generator failure closes its ticket" `Quick
+      test_generator_failure_closes_ticket;
     Alcotest.test_case "server breaker trips and recovers" `Quick
       test_server_breaker_trips_and_recovers;
     Alcotest.test_case "chaos invariants hold across seeds" `Slow

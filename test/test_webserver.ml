@@ -99,6 +99,26 @@ let test_access_log () =
   let _ = request ~user:"bob" server in
   Alcotest.(check int) "two entries" 2 (List.length (Server.access_log server))
 
+let test_access_log_bounded () =
+  let server = fresh_server () in
+  let extra = 5 in
+  let total = Server.access_log_cap + extra in
+  for i = 0 to total - 1 do
+    let user = Printf.sprintf "u%d" i in
+    Server.register_user server ~user ~tier:License.Licensed;
+    ignore (request ~user server : Server.session)
+  done;
+  let log = Server.access_log server in
+  Alcotest.(check int) "keeps the newest cap lines" Server.access_log_cap
+    (List.length log);
+  let starts user line = String.starts_with ~prefix:(user ^ " GET ") line in
+  Alcotest.(check bool) "the oldest kept line comes first" true
+    (starts (Printf.sprintf "u%d" extra) (List.hd log));
+  Alcotest.(check bool) "the newest line comes last" true
+    (starts
+       (Printf.sprintf "u%d" (total - 1))
+       (List.nth log (List.length log - 1)))
+
 let test_served_applet_works () =
   let server = fresh_server () in
   let session = request server in
@@ -435,4 +455,5 @@ let suite =
       test_update_refetches_applet_jar_only;
     Alcotest.test_case "cache is per user" `Quick test_cache_is_per_user;
     Alcotest.test_case "access log" `Quick test_access_log;
+    Alcotest.test_case "access log is bounded" `Quick test_access_log_bounded;
     Alcotest.test_case "served applet works" `Quick test_served_applet_works ]
